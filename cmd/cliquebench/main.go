@@ -42,7 +42,7 @@ func main() {
 		faults    = flag.String("faults", "", `fault spec for the scenario engine legs, e.g. "drop=0.02" (-scenarios; DESIGN.md §11)`)
 	)
 	flag.Parse()
-	core.SetDefaultParallelism(*par)
+	env := core.Env{Parallelism: *par}
 	experiments.SetBatchEval(*batch)
 
 	if *list {
@@ -61,16 +61,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
 			os.Exit(1)
 		}
-		run(e, *quick)
+		run(e, *quick, env)
 		return
 	}
 	for _, e := range experiments.All {
-		run(e, *quick)
+		run(e, *quick, env)
 	}
 }
 
-func run(e experiments.Experiment, quick bool) {
-	if err := e.Run(os.Stdout, quick); err != nil {
+func run(e experiments.Experiment, quick bool, env core.Env) {
+	if err := e.Run(os.Stdout, quick, env); err != nil {
 		fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 		os.Exit(1)
 	}

@@ -88,7 +88,12 @@ func record(args []string) int {
 	for _, p := range traceFiles(*dir) {
 		before[p] = true
 	}
-	res := scenario.RunCell(cell, scenario.CellOptions{TraceDir: *dir})
+	ds := obs.NewDirSink(*dir)
+	res := scenario.RunCell(cell, scenario.CellOptions{Sink: ds.Factory()})
+	if err := ds.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "cliquetrace: trace archive: %v\n", err)
+		return 1
+	}
 	fmt.Printf("cell %s n=%d %s %s seed=%d: %s (rounds=%d bits=%d)\n",
 		res.Family, res.N, res.Engine, res.Protocol, res.Seed, res.Outcome, res.Rounds, res.TotalBits)
 	wrote := 0

@@ -559,7 +559,7 @@ type RunResult struct {
 // initially distributed according to inputOwner (BalancedInputOwner if
 // nil). It returns the circuit outputs together with the round/bit
 // accounting of the run.
-func EvalOnClique(c *circuit.Circuit, n, bandwidth int, input []bool, inputOwner []int32, seed int64) (*RunResult, error) {
+func EvalOnClique(c *circuit.Circuit, n, bandwidth int, input []bool, inputOwner []int32, seed int64, env core.Env) (*RunResult, error) {
 	if inputOwner == nil {
 		inputOwner = BalancedInputOwner(c.NumInputs(), n)
 	}
@@ -575,7 +575,7 @@ func EvalOnClique(c *circuit.Circuit, n, bandwidth int, input []bool, inputOwner
 		perPlayer[o] = append(perPlayer[o], input[i])
 	}
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
+	cfg := env.Apply(core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed})
 	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		out, err := Simulate(p, plan, rt, perPlayer[p.ID()])
 		if err != nil {

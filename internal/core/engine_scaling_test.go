@@ -408,9 +408,7 @@ func TestPar1OverheadVsSeq(t *testing.T) {
 	// path so the guard covers the whole par1 code path, not just the
 	// config literal. (Both must resolve to the inline stepping loop: no
 	// pool is built at width 1, so par1 has no fixed overhead over seq.)
-	prev := DefaultParallelism()
-	SetDefaultParallelism(1)
-	defer SetDefaultParallelism(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	parCfg := seqCfg
 	parCfg.Parallelism = 0
 	best := func(cfg Config) float64 {

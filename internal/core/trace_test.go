@@ -410,3 +410,32 @@ func TestTraceAnnotateUntracedFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEnvApply pins Env's fill-in rules: a Config's zero per-run
+// settings take the environment's, settings it already carries win, and
+// the factories are called with the run seed.
+func TestEnvApply(t *testing.T) {
+	var seeds []int64
+	sink := &testSink{}
+	env := Env{
+		Parallelism: 3,
+		Faults:      func(seed int64) FaultInjector { seeds = append(seeds, seed); return delayPlan{delay: 1} },
+		Sink:        func(seed int64) Sink { seeds = append(seeds, seed); return sink },
+	}
+	got := env.Apply(Config{N: 4, Seed: 9})
+	if got.Parallelism != 3 || got.FaultPlan != (delayPlan{delay: 1}) || got.Sink != sink {
+		t.Fatalf("zero settings not filled: %+v", got)
+	}
+	if len(seeds) != 2 || seeds[0] != 9 || seeds[1] != 9 {
+		t.Fatalf("factories saw seeds %v, want [9 9]", seeds)
+	}
+	own := &testSink{}
+	seeds = nil
+	got = env.Apply(Config{N: 4, Seed: 9, Parallelism: 1, FaultPlan: delayPlan{delay: 2}, Sink: own})
+	if got.Parallelism != 1 || got.FaultPlan != (delayPlan{delay: 2}) || got.Sink != own || len(seeds) != 0 {
+		t.Fatalf("explicit settings overridden (factory calls %v): %+v", seeds, got)
+	}
+	if got := (Env{}).Apply(Config{N: 4}); got.Parallelism != 0 || got.FaultPlan != nil || got.Sink != nil {
+		t.Fatalf("zero Env changed the Config: %+v", got)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matmul"
 )
@@ -46,7 +47,7 @@ func evalReference(c *circuit.Circuit, in []bool) ([]bool, error) {
 // the Section 2.1 trial circuit — equivalence first, then throughput per
 // evaluated assignment, then the batched Shamir detector against the
 // exact truth.
-func E14EvalEngines(w io.Writer, quick bool) error {
+func E14EvalEngines(w io.Writer, quick bool, env core.Env) error {
 	header(w, "E14", "evaluation-engine ablation — scalar vs dense vs bitsliced")
 	rng := rand.New(rand.NewSource(41))
 

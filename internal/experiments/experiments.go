@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"repro/internal/core"
 )
 
 // Experiment is one reproducible unit: a theorem/claim mapped to a table
@@ -17,7 +18,7 @@ import (
 type Experiment struct {
 	ID    string
 	Claim string // the paper statement being regenerated
-	Run   func(w io.Writer, quick bool) error
+	Run   func(w io.Writer, quick bool, env core.Env) error
 }
 
 // All lists the experiments in paper order.

@@ -18,12 +18,11 @@ import (
 func TestDirSinkArchivesPerSeed(t *testing.T) {
 	dir := t.TempDir()
 	ds := NewDirSink(dir)
-	prev := core.SetDefaultSinkFactory(ds.Factory())
-	defer core.SetDefaultSinkFactory(prev)
+	env := core.Env{Parallelism: 1, Sink: ds.Factory()}
 
 	var want []*core.Result
 	for _, seed := range []int64{11, 11, 12} {
-		cfg := core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed, Parallelism: 1}
+		cfg := env.Apply(core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed})
 		res, err := core.Run(cfg, gossipNodes(16, 6, 3))
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 // cellKey identifies a cell across runs: full coordinates plus the
@@ -60,9 +59,10 @@ type LegCache interface {
 	PutOracle(c Cell, faulty bool, leg CachedLeg)
 }
 
-// CellOptions carries the per-cell slice of RunOptions for the
-// single-cell execution path (the scenariod worker). The zero value
-// runs both legs guarded, without deadline, retries, or cache.
+// CellOptions carries the per-cell slice of RunOptions: RunMatrixOpts
+// builds one for all its cells, the scenariod worker one per leased
+// cell. The zero value runs both legs guarded, without deadline,
+// retries, cache or tracing.
 type CellOptions struct {
 	Faults          fault.Spec
 	Timeout         time.Duration
@@ -71,27 +71,24 @@ type CellOptions struct {
 	RetryBackoffCap time.Duration
 	Sleep           func(time.Duration)
 	Cache           LegCache
-	// TraceDir mirrors RunOptions.TraceDir for the single-cell path:
-	// the engine leg (only) is traced into an engine-trace/v1 NDJSON
-	// file under the directory.
-	TraceDir string
+	// Sink, when non-nil, builds the trace sink of every engine run of
+	// the engine leg (the oracle leg stays untraced) — typically an
+	// obs.DirSink's Factory, whose owner closes it and checks the error.
+	Sink func(seed int64) core.Sink
 }
 
-// RunCell executes one cell's differential pair exactly as
-// RunMatrixOpts would — oracle leg on the sequential scalar engine,
-// engine leg under the cell's configuration, panic/timeout guards,
-// quarantine retries with backoff, fault factory installed for the
-// engine leg only — and classifies the outcome. With a LegCache, the
-// oracle leg is served from the cache when possible (its wall time is
-// then recorded as 0) and stored after a successful miss. Because every
-// leg is deterministic in the cell coordinates, the resulting
-// CellResult is identical to the one a full matrix run would produce,
-// timings aside — the property the scenariod chaos tests lean on.
+// RunCell executes one cell's differential pair — oracle leg on the
+// sequential scalar engine, engine leg under the cell's configuration
+// with the adversary and sink in its core.Env only, panic/timeout
+// guards, quarantine retries with backoff — and classifies the outcome.
+// With a LegCache, the oracle leg is served from the cache when possible
+// (its wall time is then recorded as 0) and stored after a successful
+// miss. Because every leg is deterministic in the cell coordinates and
+// carries its own Env, the resulting CellResult is identical to the one
+// a full matrix run produces, timings aside, whatever else runs in the
+// process — the property the scenariod chaos tests lean on.
 func RunCell(c Cell, opt CellOptions) CellResult {
 	faulty := opt.Faults.Active()
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
-
 	var o legOut
 	cached := false
 	if opt.Cache != nil {
@@ -101,36 +98,22 @@ func RunCell(c Cell, opt CellOptions) CellResult {
 		}
 	}
 	if !cached {
-		core.SetDefaultParallelism(1)
-		o = runLegRetries(c, true, faulty, opt)
+		o = runLegRetries(c, true, opt)
 		if opt.Cache != nil && o.err == nil && o.res != nil {
 			opt.Cache.PutOracle(c, faulty, CachedLeg{Output: o.res.Output, Stats: o.res.Stats, Edges: o.edges})
 		}
 	}
-
-	if faulty {
-		prevF := core.SetDefaultFaultFactory(opt.Faults.Factory())
-		defer core.SetDefaultFaultFactory(prevF)
-	}
-	if opt.TraceDir != "" {
-		ds := obs.NewDirSink(opt.TraceDir)
-		prevS := core.SetDefaultSinkFactory(ds.Factory())
-		defer func() {
-			core.SetDefaultSinkFactory(prevS)
-			ds.Close()
-		}()
-	}
-	core.SetDefaultParallelism(c.Engine.Parallelism)
-	e := runLegRetries(c, false, faulty, opt)
+	e := runLegRetries(c, false, opt)
 	return classify(c, o, e, faulty)
 }
 
-// runLegRetries is the single-cell mirror of runWave's quarantine loop:
-// infra failures (panic, timeout) retry up to opt.Retries times with
-// the capped-backoff pause; protocol errors never retry — they are
-// deterministic by the replay guarantee.
-func runLegRetries(c Cell, oracle, faulty bool, opt CellOptions) legOut {
-	out := runLegGuarded(c, oracle, faulty, opt.Timeout)
+// runLegRetries runs one leg and, on infra failures (panic, timeout),
+// retries it up to opt.Retries times with the capped-backoff pause.
+// Protocol errors never retry: they are deterministic by the replay
+// guarantee and belong to the outcome classification, not the retry
+// loop.
+func runLegRetries(c Cell, oracle bool, opt CellOptions) legOut {
+	out := runLegGuarded(c, oracle, opt)
 	sleep := opt.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -139,7 +122,7 @@ func runLegRetries(c Cell, oracle, faulty bool, opt CellOptions) legOut {
 		if d := Backoff(opt.RetryBackoff, opt.RetryBackoffCap, attempt, c.Seed, cellKey(c)); d > 0 {
 			sleep(d)
 		}
-		r := runLegGuarded(c, oracle, faulty, opt.Timeout)
+		r := runLegGuarded(c, oracle, opt)
 		r.attempts = attempt + 1
 		out = r
 	}

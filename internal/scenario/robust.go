@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -20,8 +20,8 @@ type RunOptions struct {
 	// classify the cell as infra rather than waiting forever.
 	Timeout time.Duration
 	// Retries is how many times an infra-failed leg (panic, timeout) is
-	// re-run in quarantine — sequentially, outside the parallel wave —
-	// before the cell is recorded as infra.
+	// re-run in quarantine — in place, on the cell's shard — before the
+	// cell is recorded as infra.
 	Retries int
 	// RetryBackoff is the base pause before each quarantine retry:
 	// attempt a sleeps Backoff(RetryBackoff, RetryBackoffCap, a, cell
@@ -37,12 +37,12 @@ type RunOptions struct {
 	Sleep func(time.Duration)
 	// Faults is the adversary. When active, every cell runs with
 	// Leg.Faulty set on both legs (hardened protocol variants,
-	// fault-stable outputs) and the plan is installed as the core
-	// package's default fault factory for the engine-leg passes only;
-	// the oracle legs stay clean and define the expected outputs.
+	// fault-stable outputs) and the plan's factory rides in the engine
+	// leg's core.Env only; the oracle legs stay clean and define the
+	// expected outputs.
 	Faults fault.Spec
 	// Ledger is the path of an append-only JSONL run ledger. When set,
-	// completed cells are recorded as each engine pass finishes, and a
+	// each cell is recorded as soon as it completes, and a
 	// re-run with the same matrix and options resumes: ledgered cells
 	// are not re-executed and their recorded results (timings included)
 	// flow into the final report unchanged, so an interrupted run
@@ -54,24 +54,22 @@ type RunOptions struct {
 	// oracle legs stay untraced, exactly as they stay clean under
 	// faults — and because tracing cannot change Outputs or Stats
 	// (core's traced-vs-untraced invariant), a traced matrix classifies
-	// identically to an untraced one.
+	// identically to an untraced one. A trace that cannot be written
+	// fails the run.
 	TraceDir string
 }
 
-// RunMatrixOpts is the resilient matrix runner: guarded legs (panic
-// capture + optional deadline), quarantine retries, fault injection, and
-// ledger resume on top of RunMatrix's differential pass structure. The
-// only error source is the ledger (I/O, or a ledger written by a
-// different run).
-func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
+// RunMatrixOpts is the resilient matrix runner: every pending cell runs
+// through RunCell — guarded legs (panic capture + optional deadline),
+// in-place quarantine retries, fault injection on the engine leg — on a
+// core.ParallelFor pool of Shards workers, and is ledgered as it
+// completes. Each leg carries its own core.Env, so cells on different
+// shards never see each other's worker count, adversary or sink. The
+// error sources are the ledger (I/O, or a ledger written by a different
+// run) and the trace archive.
+func RunMatrixOpts(m *Matrix, opt RunOptions) (rep *Report, err error) {
 	cells := m.Expand()
-	// Shard resolution deliberately bypasses core.ResolveParallelism: the
-	// package default is the *engine* parallelism knob (a -parallelism 1
-	// oracle run must not collapse the cell pool to one shard).
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+	shards := core.ResolveParallelism(opt.Shards)
 	faulty := opt.Faults.Active()
 
 	led, prior, err := openLedger(opt.Ledger, m, opt)
@@ -92,55 +90,47 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 		}
 	}
 
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
-
-	wallStart := time.Now()
-	oracle := make([]legOut, len(cells))
-	engine := make([]legOut, len(cells))
-
-	// Pass 1: the sequential scalar oracle leg of every pending cell,
-	// always on a clean channel.
-	core.SetDefaultParallelism(1)
-	runWave(shards, pending, opt, cells, true, faulty, oracle)
-
-	// Pass 2..k: engine legs grouped by configuration (the parallelism
-	// default must not flip mid-pass), with the adversary installed for
-	// exactly these passes when the run is faulted. Each configuration's
-	// cells are classified — and ledgered — as its pass completes, so an
-	// interrupted run resumes at engine-pass granularity.
-	if faulty {
-		prevF := core.SetDefaultFaultFactory(opt.Faults.Factory())
-		defer core.SetDefaultFaultFactory(prevF)
+	copt := CellOptions{
+		Faults:          opt.Faults,
+		Timeout:         opt.Timeout,
+		Retries:         opt.Retries,
+		RetryBackoff:    opt.RetryBackoff,
+		RetryBackoffCap: opt.RetryBackoffCap,
+		Sleep:           opt.Sleep,
 	}
 	if opt.TraceDir != "" {
 		ds := obs.NewDirSink(opt.TraceDir)
-		prevS := core.SetDefaultSinkFactory(ds.Factory())
+		copt.Sink = ds.Factory()
 		defer func() {
-			core.SetDefaultSinkFactory(prevS)
-			ds.Close()
+			if cerr := ds.Close(); cerr != nil && err == nil {
+				rep, err = nil, fmt.Errorf("scenario: trace archive: %w", cerr)
+			}
 		}()
 	}
-	for _, eng := range m.Engines {
-		idx := make([]int, 0, len(pending))
-		for _, i := range pending {
-			if cells[i].Engine.Name == eng.Name {
-				idx = append(idx, i)
-			}
+
+	wallStart := time.Now()
+	var (
+		mu     sync.Mutex
+		ledErr error
+	)
+	core.ParallelFor(shards, len(pending), func(k int) {
+		i := pending[k]
+		cr := RunCell(cells[i], copt)
+		results[i] = cr
+		if led == nil {
+			return
 		}
-		core.SetDefaultParallelism(eng.Parallelism)
-		runWave(shards, idx, opt, cells, false, faulty, engine)
-		for _, i := range idx {
-			results[i] = classify(cells[i], oracle[i], engine[i], faulty)
-			if led != nil {
-				if err := led.AppendCell(cellKey(cells[i]), results[i]); err != nil {
-					return nil, err
-				}
-			}
+		mu.Lock()
+		defer mu.Unlock()
+		if ledErr == nil {
+			ledErr = led.AppendCell(cellKey(cells[i]), cr)
 		}
+	})
+	if ledErr != nil {
+		return nil, ledErr
 	}
 
-	rep := &Report{
+	rep = &Report{
 		Schema:   ReportSchema,
 		Date:     time.Now().Format("20060102"),
 		BaseSeed: m.BaseSeed,
@@ -155,39 +145,6 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 	return rep, nil
 }
 
-// runWave executes one pass's legs: a parallel wave over the worker
-// pool, then quarantine rounds in which legs that failed on
-// infrastructure (panic, timeout) are retried one at a time — isolated,
-// so a cell that wedges a worker or trips a panic cannot take wave
-// neighbors down with it. Protocol-level errors are never retried: they
-// are deterministic by the replay guarantee and belong to the outcome
-// classification, not the retry loop.
-func runWave(shards int, idx []int, opt RunOptions, cells []Cell, oracleLeg, faulty bool, out []legOut) {
-	if len(idx) == 0 {
-		return
-	}
-	core.ParallelFor(shards, len(idx), func(k int) {
-		out[idx[k]] = runLegGuarded(cells[idx[k]], oracleLeg, faulty, opt.Timeout)
-	})
-	sleep := opt.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	for attempt := 1; attempt <= opt.Retries; attempt++ {
-		for _, i := range idx {
-			if !out[i].infra {
-				continue
-			}
-			if d := Backoff(opt.RetryBackoff, opt.RetryBackoffCap, attempt, cells[i].Seed, cellKey(cells[i])); d > 0 {
-				sleep(d)
-			}
-			r := runLegGuarded(cells[i], oracleLeg, faulty, opt.Timeout)
-			r.attempts = attempt + 1
-			out[i] = r
-		}
-	}
-}
-
 // runLegGuarded wraps runLeg in a dedicated goroutine with panic capture
 // and an optional deadline. Panics inside engine node bodies are already
 // converted to node errors by core (see procNode.Step); this guard
@@ -195,7 +152,7 @@ func runWave(shards int, idx []int, opt RunOptions, cells []Cell, oracleLeg, fau
 // computations, and bounds the leg's wall time. A timed-out goroutine is
 // abandoned, not cancelled — its writes land in its own legOut, which is
 // discarded.
-func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
+func runLegGuarded(c Cell, oracle bool, opt CellOptions) legOut {
 	ch := make(chan legOut, 1)
 	go func() {
 		defer func() {
@@ -203,19 +160,19 @@ func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
 				ch <- legOut{err: fmt.Errorf("leg panic: %v", r), infra: true, attempts: 1}
 			}
 		}()
-		out := runLeg(c, oracle, faulty)
+		out := runLeg(c, oracle, opt)
 		out.attempts = 1
 		ch <- out
 	}()
-	if timeout <= 0 {
+	if opt.Timeout <= 0 {
 		return <-ch
 	}
-	t := time.NewTimer(timeout)
+	t := time.NewTimer(opt.Timeout)
 	defer t.Stop()
 	select {
 	case out := <-ch:
 		return out
 	case <-t.C:
-		return legOut{err: fmt.Errorf("leg timed out after %v", timeout), infra: true, attempts: 1}
+		return legOut{err: fmt.Errorf("leg timed out after %v", opt.Timeout), infra: true, attempts: 1}
 	}
 }

@@ -94,7 +94,7 @@ type Report struct {
 	Cells    []CellResult `json:"cells"`
 }
 
-// legOut is one leg's outcome while the passes are in flight.
+// legOut is one leg's outcome, held until its cell is classified.
 type legOut struct {
 	res      *LegResult
 	edges    int
@@ -107,15 +107,19 @@ type legOut struct {
 // runLeg regenerates the cell's instance and executes one leg.
 // Regenerating per leg (rather than sharing one graph) puts family
 // generation itself under differential test and keeps legs fully
-// independent.
-func runLeg(c Cell, oracle, faulty bool) legOut {
+// independent. The oracle leg runs on one worker, clean and untraced;
+// the engine leg gets the cell's worker count, the adversary and the
+// sink.
+func runLeg(c Cell, oracle bool, opt CellOptions) legOut {
 	g := c.Family.Gen(c.N, c.Seed)
-	leg := Leg{Oracle: oracle, Faulty: faulty}
+	leg := Leg{Oracle: oracle, Faulty: opt.Faults.Active(), Env: core.Env{Parallelism: 1}}
 	if !oracle {
 		leg.Batch = c.Engine.Batch
-		leg.Parallelism = core.ResolveParallelism(c.Engine.Parallelism)
-	} else {
-		leg.Parallelism = 1
+		leg.Env = core.Env{
+			Parallelism: core.ResolveParallelism(c.Engine.Parallelism),
+			Faults:      opt.Faults.Factory(),
+			Sink:        opt.Sink,
+		}
 	}
 	start := time.Now()
 	res, err := c.Protocol.Run(g, c.Engine.Bandwidth, c.Seed+1, leg)
@@ -153,13 +157,14 @@ func statsDiff(a, b core.Stats) string {
 // scalar oracle and the cell's engine configuration, diffs the legs, and
 // returns the aggregated report. Cells are sharded across a
 // core.ParallelFor pool of `shards` workers (0 = GOMAXPROCS). It is the
-// clean-channel compatibility wrapper around RunMatrixOpts; the only
-// error RunMatrixOpts can return is a ledger failure, which cannot
-// happen without a ledger.
+// clean-channel compatibility wrapper around RunMatrixOpts, whose only
+// errors are ledger and trace-archive failures, which cannot happen
+// without a ledger or a trace directory.
 func RunMatrix(m *Matrix, shards int) *Report {
 	rep, err := RunMatrixOpts(m, RunOptions{Shards: shards})
 	if err != nil {
-		// Unreachable without RunOptions.Ledger; keep the signature stable.
+		// Unreachable without RunOptions.Ledger or TraceDir; keep the
+		// signature stable.
 		panic(err)
 	}
 	return rep

@@ -55,14 +55,20 @@ type EngineConfig struct {
 // faulted cell (RunOptions.Faults active): the adapter must pick its
 // hardened protocol variant and emit a fault-stable output — one that is
 // invariant under recovery detours (extra Borůvka phases, alternative
-// but equally valid certificates) — while the adversary itself is only
-// installed for the engine leg. The oracle leg therefore runs the same
+// but equally valid certificates) — while the adversary itself rides
+// only in the engine leg's Env. The oracle leg therefore runs the same
 // hardened variant on a clean channel and defines the expected output.
+//
+// Env is the leg's engine environment, and adapters pass it to every
+// protocol entry point that builds a core.Config: the oracle leg's is
+// one worker, clean and untraced; the engine leg's carries the cell's
+// resolved worker count (also the width of local batch evaluation), the
+// adversary and the trace sink.
 type Leg struct {
-	Oracle      bool
-	Parallelism int // resolved worker count for local batch evaluation
-	Batch       bool
-	Faulty      bool
+	Oracle bool
+	Batch  bool
+	Faulty bool
+	Env    core.Env
 }
 
 // LegResult is one execution of a cell: a canonical, printable digest of

@@ -100,7 +100,11 @@ func TestRunCellTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	res := RunCell(cell, CellOptions{TraceDir: dir})
+	ds := obs.NewDirSink(dir)
+	res := RunCell(cell, CellOptions{Sink: ds.Factory()})
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if res.Outcome != OutcomeOK {
 		t.Fatalf("cell outcome %s: %s%s", res.Outcome, res.Error, res.Divergence)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,9 +67,14 @@ type Server struct {
 	metrics *serverMetrics
 	events  *obs.EventLog
 
-	mu       sync.Mutex
-	runs     map[string]*run
-	order    []string
+	mu    sync.Mutex
+	runs  map[string]*run
+	order []string
+	// active holds the runs whose queue may still have work, oldest
+	// first: Lease and Sweep scan only these, so their cost follows
+	// the live runs rather than every run ever submitted. Lease drops
+	// a run once its queue is done.
+	active   []*run
 	draining bool
 	seq      int
 }
@@ -159,6 +165,7 @@ func (s *Server) reload() error {
 		}
 		s.runs[id] = r
 		s.order = append(s.order, id)
+		s.active = append(s.active, r)
 		if n, err := strconv.Atoi(id); err == nil && n >= s.seq {
 			s.seq = n + 1
 		}
@@ -420,14 +427,12 @@ func (r *run) subscribe() (<-chan StreamEvent, func()) {
 	}
 }
 
-// Sweep expires overdue leases on every run (requeue or quarantine),
-// returning how many jobs were finalized (quarantined) by this pass.
+// Sweep expires overdue leases on every unfinished run (requeue or
+// quarantine), returning how many jobs were finalized (quarantined) by
+// this pass. A finished run holds no lease, so it has nothing to expire.
 func (s *Server) Sweep() int {
 	s.mu.Lock()
-	runs := make([]*run, 0, len(s.order))
-	for _, id := range s.order {
-		runs = append(runs, s.runs[id])
-	}
+	runs := slices.Clone(s.active)
 	s.mu.Unlock()
 	total := 0
 	for _, r := range runs {
@@ -555,27 +560,32 @@ func (s *Server) Submit(spec RunSpec) (*SubmitResponse, error) {
 	}, true)
 	s.runs[id] = r
 	s.order = append(s.order, id)
+	s.active = append(s.active, r)
 	return &SubmitResponse{RunID: id, Cells: len(cells)}, nil
 }
 
-// Lease grants the next eligible cell across runs, oldest run first.
+// Lease grants the next eligible cell across the unfinished runs,
+// oldest run first. Runs found done on the way are dropped from the
+// scan.
 func (s *Server) Lease(worker string) LeaseResponse {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return LeaseResponse{Status: LeaseDrain}
 	}
-	runs := make([]*run, 0, len(s.order))
-	for _, id := range s.order {
-		runs = append(runs, s.runs[id])
-	}
+	runs := slices.Clone(s.active)
 	s.mu.Unlock()
+	var done []*run
+	defer func() { s.dropRuns(done) }()
 	for _, r := range runs {
 		// The grant's span record (lease_granted: worker, attempt,
 		// instant) is appended by the queue-event observer, replacing
 		// the old RecLease bookkeeping line.
 		j, ok := r.queue.Lease(worker)
 		if !ok {
+			if r.queue.Done() {
+				done = append(done, r)
+			}
 			continue
 		}
 		return LeaseResponse{Status: LeaseJob, Job: &JobGrant{
@@ -594,6 +604,16 @@ func (s *Server) Lease(worker string) LeaseResponse {
 		}}
 	}
 	return LeaseResponse{Status: LeaseEmpty}
+}
+
+// dropRuns removes finished runs from the lease and sweep scan.
+func (s *Server) dropRuns(done []*run) {
+	if len(done) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.active = slices.DeleteFunc(s.active, func(r *run) bool { return slices.Contains(done, r) })
 }
 
 func (s *Server) getRun(id string) *run {

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,5 +258,38 @@ func TestServerRejectsBadSpec(t *testing.T) {
 		t.Fatal("bad spec accepted")
 	} else if se, ok := err.(*StatusError); !ok || se.Status != 400 {
 		t.Fatalf("bad spec: %v, want 400", err)
+	}
+}
+
+// A worker whose trace directory cannot be written stops with the
+// trace archive's error after submitting the cell, instead of running
+// on without traces.
+func TestWorkerTraceDirError(t *testing.T) {
+	_, client := startServer(t, Config{})
+	sub, err := client.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Client: client, Name: "w0", TraceDir: filepath.Join(file, "traces"), PollEvery: 10 * time.Millisecond}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "trace archive") {
+			t.Fatalf("worker exit: %v, want a trace archive error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker kept running with an unwritable trace directory")
+	}
+	st, err := client.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Runs) != 1 || st.Runs[0].RunID != sub.RunID || st.Runs[0].Done != 1 {
+		t.Fatalf("status %+v: want the failing worker's one cell submitted", st.Runs)
 	}
 }

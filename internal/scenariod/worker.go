@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -28,9 +29,12 @@ type Worker struct {
 	RetryBackoff    time.Duration
 	RetryBackoffCap time.Duration
 	// TraceDir, when non-empty, archives an engine-trace/v1 NDJSON
-	// trace per engine-leg run under the directory (scenario
-	// CellOptions.TraceDir; files are named by cell seed, so a shared
-	// directory across workers stays collision-free).
+	// trace per engine-leg run under the directory through an
+	// obs.DirSink per cell (files are named by cell seed, so a shared
+	// directory across workers stays collision-free). Closing the sink
+	// after each cell keeps no trace file open between cells; a trace
+	// that cannot be written stops the worker with an error once the
+	// cell's result is submitted.
 	TraceDir string
 	// PollEvery paces lease polls when the queue is empty; default 200ms.
 	PollEvery time.Duration
@@ -80,7 +84,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		case LeaseEmpty:
 			w.sleep(ctx, poll)
 		case LeaseJob:
-			w.runJob(ctx, *resp.Job)
+			if err := w.runJob(ctx, *resp.Job); err != nil {
+				return err
+			}
 		default:
 			return fmt.Errorf("scenariod: worker %s: unknown lease status %q", w.Name, resp.Status)
 		}
@@ -100,10 +106,11 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) {
 // serialized coordinates, heartbeat in the background while both legs
 // run, submit the result. A malformed grant (names this worker's binary
 // does not know) is reported back as an infra result rather than left
-// to expire — the server quarantines it after MaxAttempts grants.
-func (w *Worker) runJob(ctx context.Context, g JobGrant) {
+// to expire — the server quarantines it after MaxAttempts grants. The
+// returned error is the cell's trace archive failure, if any.
+func (w *Worker) runJob(ctx context.Context, g JobGrant) error {
 	start := time.Now()
-	res := w.execute(ctx, g)
+	res, traceErr := w.execute(ctx, g)
 	// Floor at 1ms: the span model reads ExecMs > 0 as "this attempt
 	// ran", and a sub-millisecond cell did run.
 	execMs := max(time.Since(start).Milliseconds(), 1)
@@ -112,12 +119,13 @@ func (w *Worker) runJob(ctx context.Context, g JobGrant) {
 		Worker: w.Name, Attempt: g.Attempt, ExecMs: execMs, Cell: res,
 	}); err != nil {
 		w.logf("worker %s: result %s: %v", w.Name, g.Key, err)
-		return
+		return traceErr
 	}
 	w.logf("worker %s: %s/%d/%s/%s -> %s", w.Name, g.Family, g.N, g.Engine, g.Protocol, res.Outcome)
+	return traceErr
 }
 
-func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
+func (w *Worker) execute(ctx context.Context, g JobGrant) (scenario.CellResult, error) {
 	infra := func(msg string) scenario.CellResult {
 		return scenario.CellResult{
 			Family: g.Family, N: g.N, Engine: g.Engine, Protocol: g.Protocol, Seed: g.Seed,
@@ -126,11 +134,11 @@ func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
 	}
 	cell, err := scenario.CellFromNames(g.Family, g.N, g.Engine, g.Protocol, g.Seed)
 	if err != nil {
-		return infra(err.Error())
+		return infra(err.Error()), nil
 	}
 	spec, err := fault.ParseSpec(g.Faults)
 	if err != nil {
-		return infra(err.Error())
+		return infra(err.Error()), nil
 	}
 
 	// Heartbeat until the cell finishes. A lost lease stops the
@@ -165,7 +173,11 @@ func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
 		Retries:         w.Retries,
 		RetryBackoff:    w.RetryBackoff,
 		RetryBackoffCap: w.RetryBackoffCap,
-		TraceDir:        w.TraceDir,
+	}
+	var ds *obs.DirSink
+	if w.TraceDir != "" {
+		ds = obs.NewDirSink(w.TraceDir)
+		opt.Sink = ds.Factory()
 	}
 	if w.Cache != nil {
 		opt.Cache = w.Cache
@@ -174,5 +186,10 @@ func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
 	res := scenario.RunCell(cell, opt)
 	stopHB()
 	<-hbDone
-	return res
+	if ds != nil {
+		if err := ds.Close(); err != nil {
+			return res, fmt.Errorf("scenariod: worker %s: trace archive: %w", w.Name, err)
+		}
+	}
+	return res, nil
 }
