@@ -30,6 +30,11 @@ import (
 	"repro/internal/scenariod"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers. Bodies and responses are not bounded by time: the
+// event stream is a long-lived response.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -110,7 +115,7 @@ func serve(args []string) int {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.StartSweeper(ctx, *sweepEvery)
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -2,13 +2,12 @@ package bits
 
 // Arena is a single-owner free list of message buffers, the allocation
 // substrate of the round engine's per-node scratch reuse (DESIGN.md §13).
-// A buffer drawn from an arena is tagged with it for life; Freeze seals
-// such a buffer in place — no copy-on-write view is allocated, because
-// the arena contract is stage-once: the producer fills the buffer, stages
-// it, and never writes it again (writes after sealing panic). Once the
-// engine knows every recipient is done with the message it calls Recycle,
-// which un-seals the buffer and returns struct and storage to the arena,
-// so steady-state message traffic allocates nothing.
+// A buffer drawn from an arena is tagged with it for life. Like every
+// buffer it follows the stage-once contract: the producer fills it, stages
+// it (Freeze seals it in place) and never writes it again. Once the engine
+// knows every recipient is done with the message it calls Recycle, which
+// un-seals the buffer and returns struct and storage to the arena, so
+// steady-state message traffic allocates nothing.
 //
 // An Arena is NOT safe for concurrent use. The engine gives each node its
 // own arena: Get runs inside the node's (possibly concurrent) Step, while
@@ -35,10 +34,6 @@ func (a *Arena) Get(sizeHint int) *Buffer {
 	return b
 }
 
-// FromArena reports whether b was drawn from an arena (and is therefore
-// sealed in place by Freeze and recyclable by the engine).
-func (b *Buffer) FromArena() bool { return b.arena != nil }
-
 // MarkReclaim marks an arena buffer as queued for recycling and reports
 // whether the caller now owns that duty. It returns false for non-arena
 // buffers and for buffers already marked — the engine's delivery pass
@@ -64,13 +59,6 @@ func (b *Buffer) Recycle() {
 	}
 	b.queued = false
 	b.frozen = false
-	if b.cow {
-		// Storage escaped into an ordinary frozen view (possible only if
-		// the buffer was frozen before the arena contract applied);
-		// abandon it to the view and recycle just the struct.
-		b.data = nil
-		b.cow = false
-	}
 	b.data = b.data[:0]
 	b.n = 0
 	b.arena.free = append(b.arena.free, b)

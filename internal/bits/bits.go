@@ -4,12 +4,12 @@
 // granularity; the round engine enforces the per-link bandwidth b against
 // Buffer.Len.
 //
-// Buffers support zero-copy delivery: Freeze returns an immutable view
-// that shares the buffer's storage, and the original transparently copies
-// on its next write (copy-on-write). The round engine freezes a message
-// once at stage time and hands the same frozen view to every recipient, so
-// a broadcast costs one snapshot instead of N-1 deep copies. A package
-// pool (Get/Release) recycles Buffer structs across rounds.
+// Buffers support zero-copy delivery under a stage-once contract: Freeze
+// seals a buffer in place, after which every write to it panics. The round
+// engine seals a message once at stage time and hands the same buffer to
+// every recipient, so staging copies nothing and a broadcast costs no more
+// than a unicast. A package pool (Get/Release) recycles the unstaged
+// temporaries of hot paths.
 package bits
 
 import (
@@ -32,8 +32,7 @@ var ErrShortBuffer = errors.New("bits: read past end of buffer")
 type Buffer struct {
 	data   []byte
 	n      int    // number of valid bits in data
-	frozen bool   // immutable view produced by Freeze; writers panic
-	cow    bool   // storage is shared with a frozen view; copy before write
+	frozen bool   // sealed by Freeze; writers panic
 	arena  *Arena // owning arena (nil for ordinary buffers); see arena.go
 	queued bool   // arena buffer already on an engine reclaim list
 }
@@ -76,60 +75,36 @@ func (b *Buffer) Clone() *Buffer {
 	return &Buffer{data: cp, n: b.n}
 }
 
-// Freeze returns an immutable view of b's current contents that shares
-// b's storage — no bits are copied. The view panics on any mutation; b
-// itself stays writable, transparently copying its storage on the next
-// write so the view is never disturbed (copy-on-write). Freezing an
-// already-frozen buffer returns it unchanged.
+// Freeze seals b in place and returns it: no bits are copied and nothing
+// is allocated. Every later write to b panics, so a sealed buffer may be
+// shared by any number of readers. Freezing a sealed buffer is a no-op.
 //
-// This is the engine's zero-copy delivery primitive: one frozen view of a
-// staged message is shared by every recipient.
-//
-// Arena buffers (Arena.Get) are sealed in place instead: Freeze returns b
-// itself marked immutable, allocating nothing. The arena contract is
-// stage-once — the producer must not write the buffer after staging, and
-// sealing turns any such write into a panic rather than a corruption.
+// This is the engine's zero-copy delivery primitive and the stage-once
+// contract: Send and Broadcast seal the message, the same buffer reaches
+// every recipient, and a sender that writes a message after staging it
+// panics instead of corrupting what the recipients read. A sender that
+// needs to keep writing stages a Clone.
 func (b *Buffer) Freeze() *Buffer {
-	if b.frozen {
-		return b
-	}
-	if b.arena != nil {
-		b.frozen = true
-		return b
-	}
-	b.cow = true
-	return &Buffer{data: b.data, n: b.n, frozen: true}
+	b.frozen = true
+	return b
 }
 
-// Frozen reports whether the buffer is an immutable Freeze view.
+// Frozen reports whether the buffer has been sealed by Freeze.
 func (b *Buffer) Frozen() bool { return b.frozen }
 
-// beforeWrite enforces immutability of frozen views and detaches shared
-// storage before the first write after a Freeze.
+// beforeWrite enforces the immutability of sealed buffers.
 func (b *Buffer) beforeWrite() {
 	if b.frozen {
-		panic("bits: write to frozen buffer (message buffers received from the engine are read-only)")
-	}
-	if b.cow {
-		cp := make([]byte, len(b.data), cap(b.data))
-		copy(cp, b.data)
-		b.data = cp
-		b.cow = false
+		panic("bits: write to frozen buffer (staged and received message buffers are read-only)")
 	}
 }
 
-// Reset truncates the buffer to zero bits. Storage shared with a frozen
-// view is abandoned to the view; otherwise capacity is retained.
+// Reset truncates the buffer to zero bits, retaining its capacity.
 func (b *Buffer) Reset() {
 	if b.frozen {
 		panic("bits: reset of frozen buffer")
 	}
-	if b.cow {
-		b.data = nil
-		b.cow = false
-	} else {
-		b.data = b.data[:0]
-	}
+	b.data = b.data[:0]
 	b.n = 0
 }
 
@@ -192,7 +167,7 @@ func (b *Buffer) grow(need int) {
 }
 
 // FlipBit inverts bit i in place — the fault injector's corruption
-// primitive. The buffer must be writable (Clone a frozen view first) and
+// primitive. The buffer must be writable (Clone a sealed buffer first) and
 // i must be in [0, Len).
 func (b *Buffer) FlipBit(i int) {
 	if i < 0 || i >= b.n {
@@ -416,10 +391,8 @@ func scatterOr64(dst []byte, pos int, w uint64) {
 }
 
 // Chunks splits the buffer into pieces of at most chunkBits bits each,
-// preserving order. An empty buffer yields no chunks. The chunks are
-// drawn from the package pool: callers that stage-and-forget them (the
-// round-helper send loops) Release each chunk once staged, so
-// steady-state chunked exchanges recycle their buffers.
+// preserving order. An empty buffer yields no chunks. Each piece is a
+// fresh buffer: callers stage them, and staged buffers are sealed for good.
 func (b *Buffer) Chunks(chunkBits int) []*Buffer {
 	if chunkBits <= 0 {
 		panic("bits: chunkBits must be positive")
@@ -434,7 +407,7 @@ func (b *Buffer) Chunks(chunkBits int) []*Buffer {
 			end = b.Len()
 		}
 		m := end - off
-		c := Get(m)
+		c := New(m)
 		c.grow((m + 7) / 8)
 		c.n = m
 		copyBits(c.data, b.data, off, m)
@@ -470,14 +443,13 @@ func (b *Buffer) bit(i int) uint64 {
 	return uint64(b.data[i/8]>>uint(i%8)) & 1
 }
 
-// bufPool recycles Buffer structs between rounds. Only storage that is
-// not shared with a frozen view is reused.
+// bufPool recycles unsealed Buffer structs and their storage.
 var bufPool = sync.Pool{New: func() interface{} { return new(Buffer) }}
 
 // Get returns an empty buffer from the package pool with capacity for
 // sizeHint bits. Pair with Release when the buffer's contents are no
-// longer needed (staged messages may be Released after the round: their
-// frozen views keep the delivered bits alive).
+// longer needed. A buffer that gets staged is sealed and never returns to
+// the pool (Release of it is a no-op), so Get suits unstaged temporaries.
 func Get(sizeHint int) *Buffer {
 	b := bufPool.Get().(*Buffer)
 	if cap(b.data) < (sizeHint+7)/8 {
@@ -486,11 +458,10 @@ func Get(sizeHint int) *Buffer {
 	return b
 }
 
-// Release resets b and returns it to the package pool. Frozen views are
-// never pooled (recipients may still hold them); storage shared with a
-// frozen view is abandoned to the view and only the struct is recycled.
-// An unstaged arena buffer goes back to its own arena instead (only its
-// owner may call this). Release of nil is a no-op.
+// Release resets b and returns it to the package pool. Sealed buffers are
+// never pooled (recipients may still hold them), so Release of one is a
+// no-op. An unstaged arena buffer goes back to its own arena instead (only
+// its owner may call this). Release of nil is a no-op.
 func (b *Buffer) Release() {
 	if b == nil || b.frozen {
 		return

@@ -208,44 +208,71 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestFreezeSharesAndProtects pins the stage-once contract: Freeze seals
+// its receiver in place and returns it, so readers share its storage and
+// every later write panics.
 func TestFreezeSharesAndProtects(t *testing.T) {
 	var a Buffer
 	a.WriteUint(0xAB, 8)
+	data := &a.data[0]
 	v := a.Freeze()
-	if !v.Frozen() {
-		t.Fatal("view not frozen")
+	if v != &a {
+		t.Fatal("Freeze returned a new buffer; want its receiver")
 	}
-	if &a.data[0] != &v.data[0] {
-		t.Error("Freeze copied storage; want shared")
+	if !a.Frozen() {
+		t.Fatal("Freeze did not seal its receiver")
 	}
-	// Mutating the original copies-on-write and leaves the view intact.
-	a.WriteUint(0xFF, 8)
-	if v.Len() != 8 {
-		t.Fatalf("view length changed to %d", v.Len())
+	if &a.data[0] != data {
+		t.Error("Freeze moved the storage")
 	}
-	if got, _ := NewReader(v).ReadUint(8); got != 0xAB {
-		t.Errorf("view reads %#x after original mutated, want 0xab", got)
+	for name, write := range map[string]func(){
+		"WriteUint": func() { a.WriteUint(0xFF, 8) },
+		"Append":    func() { a.Append(&a) },
+		"Reset":     func() { a.Reset() },
+	} {
+		if !panics(write) {
+			t.Errorf("%s after Freeze did not panic", name)
+		}
 	}
-	if got, _ := NewReader(&a).ReadUint(8); got != 0xAB {
-		t.Errorf("original corrupted: %#x", got)
+	if got, _ := NewReader(&a).ReadUint(8); got != 0xAB || a.Len() != 8 {
+		t.Errorf("sealed buffer reads %#x (%d bits), want 0xab (8 bits)", got, a.Len())
 	}
-	if a.Len() != 16 {
-		t.Errorf("original len = %d, want 16", a.Len())
-	}
-	// Freezing a frozen view is the identity.
+	// Freezing a sealed buffer is the identity.
 	if v2 := v.Freeze(); v2 != v {
-		t.Error("Freeze of frozen view returned a new buffer")
+		t.Error("Freeze of a sealed buffer returned a new buffer")
 	}
 }
 
-func TestFreezeResetDetaches(t *testing.T) {
-	var a Buffer
-	a.WriteUint(0x3C, 7)
-	v := a.Freeze()
-	a.Reset()
-	a.WriteUint(0x7F, 7)
-	if got, _ := NewReader(v).ReadUint(7); got != 0x3C {
-		t.Errorf("view reads %#x after original Reset+rewrite, want 0x3c", got)
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestAllocRegressionFreeze is the CI alloc guard for staging: sealing a
+// writable non-arena buffer allocates nothing, so staging a message costs
+// no allocation whichever way the buffer was built.
+func TestAllocRegressionFreeze(t *testing.T) {
+	const runs = 100
+	bufs := make([]*Buffer, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range bufs {
+		bufs[i] = New(64)
+		bufs[i].WriteUint(uint64(i), 64)
+	}
+	sealed := make([]*Buffer, len(bufs))
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		sealed[k] = bufs[k].Freeze()
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("Freeze allocated %.1f times per call, want 0", allocs)
+	}
+	for i, b := range sealed {
+		if b != bufs[i] || !b.Frozen() {
+			t.Fatalf("buffer %d: Freeze returned another buffer or left it writable", i)
+		}
 	}
 }
 
@@ -265,20 +292,22 @@ func TestPoolRoundTrip(t *testing.T) {
 	b := Get(64)
 	b.WriteUint(123, 32)
 	v := b.Freeze()
-	b.Release() // storage is shared with v: must be abandoned, not reused
-	if got, _ := NewReader(v).ReadUint(32); got != 123 {
-		t.Errorf("frozen view corrupted by Release: %d", got)
+	b.Release() // sealed: a no-op, the buffer never returns to the pool
+	if got, _ := NewReader(v).ReadUint(32); got != 123 || !v.Frozen() {
+		t.Errorf("sealed buffer changed by Release: %d (frozen=%v)", got, v.Frozen())
 	}
 	c := Get(16)
+	if c == v {
+		t.Fatal("pool handed out a sealed buffer")
+	}
 	c.WriteUint(9, 16)
 	if got, _ := NewReader(c).ReadUint(16); got != 9 {
 		t.Errorf("pooled buffer reads %d, want 9", got)
 	}
 	if got, _ := NewReader(v).ReadUint(32); got != 123 {
-		t.Errorf("frozen view corrupted by pooled reuse: %d", got)
+		t.Errorf("sealed buffer corrupted by pooled reuse: %d", got)
 	}
 	c.Release()
-	v.Release() // no-op on frozen views
 	var nilBuf *Buffer
 	nilBuf.Release() // no-op on nil
 }

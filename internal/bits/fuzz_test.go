@@ -29,9 +29,10 @@ func (m naiveBits) readUint(pos, width int) uint64 {
 // FuzzReaderWriter round-trips a fuzz-chosen program of WriteUint /
 // WriteBit / Append / Slice / Freeze operations against the naive model:
 // after every program the buffer must read back exactly the model's bits
-// through ReadUint/ReadBit, Slice must match the model's subrange, and a
-// Freeze view taken mid-program must still hold the bits from its
-// snapshot point after the original keeps writing (copy-on-write).
+// through ReadUint/ReadBit, and Slice must match the model's subrange. A
+// mid-program Freeze seals the buffer: the next write must panic, the
+// program continues on a Clone, and at the end the sealed buffer must
+// still hold the bits from its snapshot point.
 func FuzzReaderWriter(f *testing.F) {
 	f.Add([]byte{3, 0xff, 64, 7, 1, 12, 0xab}, uint8(2))
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}, uint8(5))
@@ -63,6 +64,13 @@ func FuzzReaderWriter(f *testing.F) {
 			if int(freezeAt) == i/2 {
 				frozen = buf.Freeze()
 				frozenWant = append(naiveBits(nil), model...)
+				if frozen != buf {
+					t.Fatal("Freeze returned another buffer, want its receiver")
+				}
+				if !panics(func() { buf.WriteBit(1) }) {
+					t.Fatal("write after Freeze did not panic")
+				}
+				buf = buf.Clone()
 			}
 		}
 
@@ -115,7 +123,7 @@ func FuzzReaderWriter(f *testing.F) {
 			sl.Release()
 		}
 
-		// The mid-program freeze view must be unchanged by later writes.
+		// The sealed buffer must be unchanged by the clone's later writes.
 		if frozen != nil {
 			if frozen.Len() != len(frozenWant) {
 				t.Fatalf("frozen Len = %d, want %d", frozen.Len(), len(frozenWant))
@@ -127,7 +135,7 @@ func FuzzReaderWriter(f *testing.F) {
 					t.Fatal(err)
 				}
 				if (got != 0) != frozenWant[pos] {
-					t.Fatalf("frozen bit %d = %d, want %v (COW violated)", pos, got, frozenWant[pos])
+					t.Fatalf("frozen bit %d = %d, want %v (sealed buffer changed)", pos, got, frozenWant[pos])
 				}
 			}
 		}

@@ -111,16 +111,16 @@ func TestRangeErrors(t *testing.T) {
 }
 
 // The arena contract: Get hands out writable buffers, Freeze seals in
-// place without a copy-on-write view, MarkReclaim deduplicates the
-// reclaim list, and Recycle returns struct + storage for reuse.
+// place, MarkReclaim deduplicates the reclaim list, and Recycle returns
+// struct + storage for reuse.
 func TestArenaLifecycle(t *testing.T) {
 	var a Arena
 	b := a.Get(64)
-	if !b.FromArena() || b.Frozen() {
-		t.Fatalf("fresh arena buffer: fromArena=%v frozen=%v", b.FromArena(), b.Frozen())
+	if b.arena != &a || b.Frozen() {
+		t.Fatalf("fresh arena buffer: owned=%v frozen=%v", b.arena == &a, b.Frozen())
 	}
 	plain := New(8)
-	if plain.FromArena() {
+	if plain.arena != nil {
 		t.Fatal("pool buffer claims an arena")
 	}
 	if plain.MarkReclaim() {
@@ -130,7 +130,7 @@ func TestArenaLifecycle(t *testing.T) {
 
 	b.WriteUint(0xbeef, 16)
 	if got := b.Freeze(); got != b {
-		t.Fatal("Freeze of an arena buffer allocated a view")
+		t.Fatal("Freeze of an arena buffer returned another buffer")
 	}
 	if !b.MarkReclaim() {
 		t.Fatal("first reclaim mark refused")

@@ -89,8 +89,9 @@ func (st *simState) getBuf(q int) *xbits.Buffer {
 	return st.perDst[q]
 }
 
-// releaseBufs returns all staged per-destination buffers to the pool (the
-// frozen delivery views keep any in-flight bits alive).
+// releaseBufs returns all per-destination buffers to the pool. They are
+// never staged themselves: the exchanges copy their bits into the
+// messages they send.
 func (st *simState) releaseBufs() {
 	for q, b := range st.perDst {
 		if b != nil {

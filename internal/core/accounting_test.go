@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,33 +113,62 @@ func TestSendAfterHaltRejected(t *testing.T) {
 	}
 }
 
+// TestMessageIsolation pins the stage-once contract: a message is fixed
+// once it is staged, so a body that writes its buffer afterwards — by
+// WriteUint, Append or Reset; after Send, a unicast Broadcast or a
+// broadcast-model Broadcast — panics inside its own Step, and the run
+// fails with an error that names the writing node. Recipients can
+// therefore never observe a changed message.
 func TestMessageIsolation(t *testing.T) {
-	// Mutating a buffer after Send must not corrupt the delivered copy.
-	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast}
-	res, err := RunProcs(cfg, func(p *Proc) error {
-		if p.ID() == 0 {
-			m := bits.New(4)
-			m.WriteUint(0b1010, 4)
-			if err := p.Send(1, m); err != nil {
-				return err
-			}
-			m.WriteUint(0b1111, 4) // mutate after staging
-			p.Next()
-			return nil
-		}
-		in := p.Next()
-		v, err := bits.NewReader(in[0]).ReadUint(4)
-		if err != nil {
-			return err
-		}
-		p.SetOutput(v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	const n, writer = 4, 2
+	extra := bits.New(4)
+	extra.WriteUint(0b0110, 4)
+	writes := []struct {
+		name  string
+		write func(m *bits.Buffer)
+	}{
+		{"WriteUint", func(m *bits.Buffer) { m.WriteUint(0xF, 4) }},
+		{"Append", func(m *bits.Buffer) { m.Append(extra) }},
+		{"Reset", func(m *bits.Buffer) { m.Reset() }},
 	}
-	if res.Outputs[1].(uint64) != 0b1010 {
-		t.Errorf("delivered message corrupted: %v", res.Outputs[1])
+	stages := []struct {
+		name  string
+		model Model
+		stage func(p *Proc, m *bits.Buffer) error
+	}{
+		{"Send", Unicast, func(p *Proc, m *bits.Buffer) error { return p.Send(0, m) }},
+		{"UcastBroadcast", Unicast, func(p *Proc, m *bits.Buffer) error { return p.Broadcast(m) }},
+		{"BcastBroadcast", Broadcast, func(p *Proc, m *bits.Buffer) error { return p.Broadcast(m) }},
+	}
+	for _, st := range stages {
+		for _, w := range writes {
+			for _, par := range []int{1, 4} {
+				st, w := st, w
+				t.Run(fmt.Sprintf("%s/%s/p%d", st.name, w.name, par), func(t *testing.T) {
+					cfg := Config{N: n, Bandwidth: 8, Model: st.model, Seed: 1, Parallelism: par}
+					_, err := RunProcs(cfg, func(p *Proc) error {
+						if p.ID() == writer {
+							m := bits.New(8)
+							m.WriteUint(0b1010, 4)
+							if err := st.stage(p, m); err != nil {
+								return err
+							}
+							w.write(m) // after staging
+						}
+						p.Next()
+						return nil
+					})
+					if err == nil {
+						t.Fatal("write after staging succeeded; want the writer's run error")
+					}
+					msg := err.Error()
+					if !strings.Contains(msg, fmt.Sprintf("node %d failed", writer)) ||
+						!strings.Contains(msg, "frozen buffer") {
+						t.Fatalf("error %q does not name node %d and the frozen-buffer panic", msg, writer)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -26,11 +26,12 @@
 // parallelism setting; Parallelism=1 keeps the legacy sequential path as
 // the determinism oracle.
 //
-// Delivery is zero-copy: a staged message is frozen once
-// (bits.Buffer.Freeze) and the same immutable view is shared by all
-// recipients, so a unicast broadcast costs one snapshot instead of N-1
-// deep copies. Received buffers are therefore read-only; mutating one
-// panics.
+// Delivery is zero-copy under a stage-once contract: Send and Broadcast
+// seal the message in place (bits.Buffer.Freeze) and the same buffer
+// reaches every recipient, so staging copies nothing, even for a unicast
+// broadcast. A message is fixed once it is sent: a write to a staged
+// buffer panics and fails the writer's Step, and received buffers are
+// read-only for the same reason.
 package core
 
 import (
@@ -262,8 +263,8 @@ type Result struct {
 // previous round. Step reports done=true when the node has halted; halted
 // nodes are not stepped again.
 //
-// Received buffers are immutable views shared with other recipients;
-// treat them as read-only (mutating one panics). Distinct nodes may be
+// Received buffers are sealed and shared with other recipients; treat
+// them as read-only (mutating one panics). Distinct nodes may be
 // stepped concurrently, so state shared between nodes outside the model's
 // messages must be read-only or synchronized.
 type Node interface {
@@ -275,37 +276,6 @@ type NodeFunc func(ctx *Ctx, in []*bits.Buffer) (bool, error)
 
 // Step implements Node.
 func (f NodeFunc) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) { return f(ctx, in) }
-
-// QuietRounds is the optional interface behind the engine's round
-// batching (DESIGN.md §13). A Node that also implements it may promise,
-// before each round, that its next k Step calls stage no messages —
-// locally-compute-heavy stretches such as sketch building or chunk
-// reassembly tails. When every live node promises k ≥ 2 quiet rounds
-// (and no fault plan, pending delivery or quiesce detector is armed,
-// since those need per-round delivery passes), the engine steps each
-// node through min-over-nodes(k) rounds in a single worker-pool dispatch
-// instead of paying a dispatch + collection pass per round. Nodes may
-// still halt mid-batch. A node that breaks its promise by staging a
-// message inside a declared-quiet round fails the run with an error —
-// loudly, never by reordering traffic. Outputs and Stats are unchanged
-// by batching; it is purely a dispatch-count optimization, applied
-// identically at every Parallelism setting.
-type QuietRounds interface {
-	// QuietRounds reports how many consecutive rounds, starting with the
-	// node's next Step call, the node promises to stage nothing. Values
-	// <= 1 promise nothing and never batch.
-	QuietRounds() int
-}
-
-// BatchableNode glues a quiet-round oracle onto an existing Node, for
-// protocols whose step logic and round schedule live in separate places.
-type BatchableNode struct {
-	Node
-	Quiet func() int
-}
-
-// QuietRounds implements the engine's batching probe.
-func (b BatchableNode) QuietRounds() int { return b.Quiet() }
 
 // Ctx is a node's handle onto the network during one round.
 type Ctx struct {
@@ -346,14 +316,13 @@ func (c *Ctx) SetOutput(v interface{}) { c.output = v }
 
 // Msg returns an empty message buffer from the node's private arena —
 // the zero-steady-state-allocation way to build messages (DESIGN.md
-// §13). The contract is stage-once: fill the buffer and Send/Broadcast
-// it within the current Step call. Staging seals it in place (no
-// copy-on-write view is allocated; later writes panic), and the engine
-// recycles struct and storage one round after delivery, once every
-// recipient's inbox slot has been cleared. Consequently recipients must
-// not retain a Msg-built message beyond the Step that delivers it —
-// protocols that stash received buffers across rounds must build those
-// messages with bits.New instead. A drawn buffer that ends up not being
+// §13). Fill the buffer and Send/Broadcast it within the current Step
+// call. Staging seals it in place like any message (later writes
+// panic), and the engine recycles struct and storage one round after
+// delivery, once every recipient's inbox slot has been cleared.
+// Consequently recipients must not retain a Msg-built message beyond
+// the Step that delivers it — protocols that stash received buffers
+// across rounds must build those messages with bits.New instead. A drawn buffer that ends up not being
 // staged may be handed back with Release (or simply dropped). Under an
 // active fault plan messages may stay in flight arbitrarily long
 // (delays, duplicates), so the engine disables recycling — Msg still
@@ -389,17 +358,18 @@ func (c *Ctx) checkSend(dst int, msg *bits.Buffer) error {
 	return nil
 }
 
-// stage records a frozen message for dst.
-func (c *Ctx) stage(dst int, frozen *bits.Buffer) {
-	c.out[dst] = frozen
+// stage records a sealed message for dst.
+func (c *Ctx) stage(dst int, msg *bits.Buffer) {
+	c.out[dst] = msg
 	c.sent = append(c.sent, dst)
 }
 
 // Send stages msg for delivery to dst at the start of the next round.
 // It enforces the model's constraints: unicast only in UCAST/CONGEST, at
 // most one message per link per round, at most Bandwidth bits, and in the
-// CONGEST model dst must be a topology neighbor. The message is frozen in
-// place (no copy); the caller's buffer stays writable via copy-on-write.
+// CONGEST model dst must be a topology neighbor. Staging seals msg in
+// place (no copy): the caller must not write it again, and a write
+// panics. A sealed buffer may be staged again, to this or another link.
 func (c *Ctx) Send(dst int, msg *bits.Buffer) error {
 	if err := c.checkSend(dst, msg); err != nil {
 		return err
@@ -411,8 +381,8 @@ func (c *Ctx) Send(dst int, msg *bits.Buffer) error {
 // Broadcast stages msg for delivery to every other node next round. In the
 // UCAST model it is sugar for sending the same message on every link (as
 // the paper notes, unicast subsumes broadcast); in the BCAST model it is
-// the only way to communicate. All recipients share a single frozen view
-// of msg — staging costs O(1) copies regardless of fan-out.
+// the only way to communicate. Staging seals msg in place, as in Send,
+// and every recipient gets that same buffer: no copy at any fan-out.
 func (c *Ctx) Broadcast(msg *bits.Buffer) error {
 	if c.halted {
 		return ErrAfterBarrier
@@ -490,15 +460,7 @@ type engine struct {
 	reclaim     []*bits.Buffer
 	reclaimNext []*bits.Buffer
 
-	// Round batching (QuietRounds): quietNodes caches the per-node
-	// interface upgrade (nil when no node implements it, which switches
-	// the probe off entirely); emptyInbox is the shared all-nil inbox of
-	// inner batched rounds; batchRounds records how many rounds of a
-	// batch each live slot actually stepped.
-	quietNodes  []QuietRounds
-	emptyInbox  []*bits.Buffer
-	batchRounds []int
-	quiesce     int // resolved stall-detector threshold (<= 0: disarmed)
+	quiesce int // resolved stall-detector threshold (<= 0: disarmed)
 
 	// Fault-injection state (all nil/zero when no plan is active).
 	plan    FaultInjector
@@ -552,16 +514,6 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 		}
 		e.inboxes[i] = inboxFlat[i*n : (i+1)*n : (i+1)*n]
 		e.live[i] = i
-	}
-	for i, nd := range nodes {
-		if q, ok := nd.(QuietRounds); ok {
-			if e.quietNodes == nil {
-				e.quietNodes = make([]QuietRounds, n)
-				e.emptyInbox = make([]*bits.Buffer, n)
-				e.batchRounds = make([]int, n)
-			}
-			e.quietNodes[i] = q
-		}
 	}
 	return e
 }
@@ -634,98 +586,6 @@ func (e *engine) compactLive() {
 	}
 	e.stepped = e.live
 	e.live, e.spare = next, e.live
-}
-
-// quietBatch reports how many consecutive rounds, starting at `round`,
-// every live node has promised to stay silent — the width of the next
-// round batch (1 = no batching). Batching needs a per-round delivery
-// pass to be provably redundant, so any fault plan, pending delivery or
-// armed quiesce detector switches it off.
-func (e *engine) quietBatch(round, maxRounds int) int {
-	if e.quietNodes == nil || e.plan != nil || e.quiesce > 0 || len(e.pending) > 0 {
-		return 1
-	}
-	k := maxRounds - round
-	for _, id := range e.live {
-		q := e.quietNodes[id]
-		if q == nil {
-			return 1
-		}
-		qr := q.QuietRounds()
-		if qr <= 1 {
-			return 1
-		}
-		if qr < k {
-			k = qr
-		}
-	}
-	return k
-}
-
-// stepQuiet steps every live node through up to k declared-quiet rounds
-// in one dispatch: the first inner round sees the node's real inbox,
-// later ones the shared empty inbox (nothing can arrive — nobody is
-// sending). It returns the number of rounds actually executed, which is
-// k unless every node halted earlier. A node that stages a message in a
-// promised-quiet round fails the run. Accounting is identical to
-// stepping the same rounds one at a time: no sends means Rounds and the
-// delivery pass are untouched, and Steps advances by the return value.
-func (e *engine) stepQuiet(start, k int) (int, error) {
-	n := len(e.live)
-	body := func(slot int) {
-		id := e.live[slot]
-		ctx := e.ctxs[id]
-		e.errs[slot] = nil
-		e.done[slot] = false
-		for j := 0; j < k; j++ {
-			in := e.emptyInbox
-			if j == 0 {
-				in = e.inboxes[id]
-			}
-			ctx.round = start + j
-			d, err := e.nodes[id].Step(ctx, in)
-			e.batchRounds[slot] = j + 1
-			if err != nil {
-				e.errs[slot] = err
-				return
-			}
-			if len(ctx.sent) != 0 || ctx.bcast != nil {
-				e.errs[slot] = fmt.Errorf("core: node %d staged a message in declared-quiet round %d", id, start+j)
-				return
-			}
-			if d {
-				e.done[slot] = true
-				return
-			}
-		}
-	}
-	if e.pool != nil && n > 1 {
-		e.pool.run(n, body)
-	} else {
-		for slot := 0; slot < n; slot++ {
-			body(slot)
-		}
-	}
-	// Report the earliest failure in (round, node-id) order — the same
-	// error the unbatched engine would have surfaced first.
-	errSlot, errRound := -1, 0
-	for slot := range e.live[:n] {
-		if e.errs[slot] != nil && (errSlot < 0 || e.batchRounds[slot] < errRound) {
-			errSlot, errRound = slot, e.batchRounds[slot]
-		}
-	}
-	if errSlot >= 0 {
-		return 0, fmt.Errorf("core: node %d failed in round %d: %w",
-			e.live[errSlot], start+errRound-1, e.errs[errSlot])
-	}
-	executed := 0
-	for slot := 0; slot < n; slot++ {
-		if e.batchRounds[slot] > executed {
-			executed = e.batchRounds[slot]
-		}
-	}
-	e.compactLive()
-	return executed, nil
 }
 
 // deliver collects the messages staged by this round's stepped nodes,
@@ -958,26 +818,17 @@ func Run(cfg Config, nodes []Node) (*Result, error) {
 			return nil, fmt.Errorf("%w (limit %d)", ErrRoundLimit, maxRounds)
 		}
 		var t0 time.Time
-		start, span := step, 1
 		if e.traceOn {
 			e.beginTrace()
 			t0 = time.Now()
 		}
 		e.stats.Steps = step + 1
-		if k := e.quietBatch(step, maxRounds); k > 1 {
-			executed, err := e.stepQuiet(step, k)
-			if err != nil {
-				return nil, err
-			}
-			e.stats.Steps = step + executed
-			step += executed - 1
-			span = executed
-		} else if err := e.step(step); err != nil {
+		if err := e.step(step); err != nil {
 			return nil, err
 		}
 		e.deliver(step)
 		if e.traceOn {
-			e.emitTrace(start, span, time.Since(t0).Nanoseconds())
+			e.emitTrace(step, time.Since(t0).Nanoseconds())
 		}
 		if e.quiesce > 0 && e.quiet >= e.quiesce {
 			return nil, fmt.Errorf("%w: %d live nodes at step %d", ErrStalled, len(e.live), step)

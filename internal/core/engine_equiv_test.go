@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bits"
@@ -203,44 +205,59 @@ func TestWorkerPoolRace(t *testing.T) {
 	}
 }
 
-// TestZeroCopyIsolation pins the copy-on-write contract at the engine
-// level: a sender reusing (appending to) its buffer after Send/Broadcast
-// must not corrupt what recipients observe.
+// TestZeroCopyIsolation pins zero-copy delivery under the stage-once
+// contract at the engine level: a unicast-model Broadcast shares one
+// sealed buffer with every recipient, each of which reads the staged
+// value, and a body that reuses the buffer after staging fails its own
+// Step instead of changing what the recipients observe.
 func TestZeroCopyIsolation(t *testing.T) {
 	const n = 4
-	cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 2}
-	res, err := RunProcs(cfg, func(p *Proc) error {
-		if p.ID() == 0 {
-			m := bits.New(8)
-			m.WriteUint(0x2A, 8)
-			if err := p.Broadcast(m); err != nil {
+	for _, reuse := range []bool{false, true} {
+		cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 2}
+		res, err := RunProcs(cfg, func(p *Proc) error {
+			if p.ID() == 0 {
+				m := bits.New(8)
+				m.WriteUint(0x2A, 8)
+				if err := p.Broadcast(m); err != nil {
+					return err
+				}
+				if reuse {
+					m.Reset()
+					m.WriteUint(0x00, 8) // reuse after staging
+				}
+				p.Next()
+				return nil
+			}
+			in := p.Next()
+			if !in[0].Frozen() {
+				return errors.New("delivered buffer is not sealed")
+			}
+			v, err := bits.NewReader(in[0]).ReadUint(8)
+			if err != nil {
 				return err
 			}
-			m.Reset()
-			m.WriteUint(0x00, 8) // reuse after staging
-			p.Next()
+			p.SetOutput(v)
 			return nil
+		})
+		if reuse {
+			if err == nil || !strings.Contains(err.Error(), "node 0 failed") {
+				t.Fatalf("reuse after staging: err = %v, want node 0's run error", err)
+			}
+			continue
 		}
-		in := p.Next()
-		v, err := bits.NewReader(in[0]).ReadUint(8)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		p.SetOutput(v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		if res.Outputs[i].(uint64) != 0x2A {
-			t.Errorf("node %d observed %#x, want 0x2a", i, res.Outputs[i])
+		for i := 1; i < n; i++ {
+			if res.Outputs[i].(uint64) != 0x2A {
+				t.Errorf("node %d observed %#x, want 0x2a", i, res.Outputs[i])
+			}
 		}
 	}
 }
 
 // TestReceivedBufferIsReadOnly pins the receiver-side contract: delivered
-// buffers are frozen views and writes to them panic.
+// buffers are sealed and writes to them panic.
 func TestReceivedBufferIsReadOnly(t *testing.T) {
 	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 1}
 	_, err := RunProcs(cfg, func(p *Proc) error {

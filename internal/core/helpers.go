@@ -39,7 +39,6 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 			if err := p.Broadcast(chunks[r]); err != nil {
 				return nil, err
 			}
-			chunks[r].Release() // frozen delivery views keep the bits alive
 		}
 		in := p.Next()
 		for src, msg := range in {
@@ -67,7 +66,6 @@ func SendChunked(p *Proc, dst int, payload *bits.Buffer, rounds int) error {
 			if err := p.Send(dst, chunks[r]); err != nil {
 				return err
 			}
-			chunks[r].Release() // the frozen delivery view keeps the bits alive
 		}
 		p.Next()
 	}

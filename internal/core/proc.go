@@ -19,7 +19,9 @@ import (
 // distinct nodes may run truly concurrently within a round, so any state
 // a body shares with other bodies outside the model's messages must be
 // read-only or synchronized (see routing.Router for the canonical
-// pattern). Received buffers are frozen views shared with other
+// pattern). Messages are stage-once: Send and Broadcast seal the buffer,
+// so a body must not write it afterwards (a write panics and becomes the
+// node's error). Received buffers are sealed and shared with other
 // recipients; treat them as read-only.
 type Proc struct {
 	ctx     *Ctx

@@ -238,7 +238,7 @@ func RecvReliable(p *core.Proc, src int, rounds int, opt ReliableOpts) (*bits.Bu
 			if msg := in[src]; msg != nil {
 				acc.Append(msg)
 				if slots[r] == nil {
-					slots[r] = msg // frozen delivery view; safe to retain
+					slots[r] = msg // sealed delivered buffer; safe to retain
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package scenariod
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -648,6 +649,27 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// maxBodyBytes bounds every request body the API decodes. The largest
+// legitimate one, a ResultRequest carrying one cell of the full matrix,
+// is about 13 KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// An oversized body is a 413; any other decode failure is a 400 that
+// starts with bad.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, bad string) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return &apiError{http.StatusRequestEntityTooLarge, fmt.Sprintf("%s: body exceeds %d bytes", bad, maxBodyBytes)}
+	default:
+		return &apiError{http.StatusBadRequest, bad + ": " + err.Error()}
+	}
+}
+
 // Handler exposes the HTTP/JSON API (endpoints in DESIGN.md §12).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -656,8 +678,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		var spec RunSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, &apiError{http.StatusBadRequest, "bad run spec: " + err.Error()})
+		if err := decodeBody(w, r, &spec, "bad run spec"); err != nil {
+			writeErr(w, err)
 			return
 		}
 		resp, err := s.Submit(spec)
@@ -669,7 +691,11 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+		if err := decodeBody(w, r, &req, "bad lease request"); err != nil {
+			writeErr(w, err)
+			return
+		}
+		if req.Worker == "" {
 			writeErr(w, &apiError{http.StatusBadRequest, "lease request needs a worker id"})
 			return
 		}
@@ -677,8 +703,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &apiError{http.StatusBadRequest, "bad heartbeat"})
+		if err := decodeBody(w, r, &req, "bad heartbeat"); err != nil {
+			writeErr(w, err)
 			return
 		}
 		run := s.getRun(req.RunID)
@@ -699,8 +725,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &apiError{http.StatusBadRequest, "bad result"})
+		if err := decodeBody(w, r, &req, "bad result"); err != nil {
+			writeErr(w, err)
 			return
 		}
 		run := s.getRun(req.RunID)

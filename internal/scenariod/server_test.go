@@ -1,8 +1,10 @@
 package scenariod
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -291,5 +293,46 @@ func TestWorkerTraceDirError(t *testing.T) {
 	}
 	if len(st.Runs) != 1 || st.Runs[0].RunID != sub.RunID || st.Runs[0].Done != 1 {
 		t.Fatalf("status %+v: want the failing worker's one cell submitted", st.Runs)
+	}
+}
+
+// Oversized request bodies are refused with 413 before they are decoded
+// in full, and the server keeps serving afterwards.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	huge := strings.Repeat("x", maxBodyBytes)
+	bodies := map[string]any{
+		"/v1/runs":   RunSpec{Quick: true, Families: huge},
+		"/v1/result": ResultRequest{RunID: "r", Key: "k", Cell: scenario.CellResult{Output: huge}},
+	}
+	for path, v := range bodies {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(data), resp.StatusCode)
+		}
+	}
+
+	client := NewClient(ts.URL)
+	if _, err := client.Submit(tinySpec()); err != nil {
+		t.Fatalf("submit after oversized bodies: %v", err)
+	}
+	lease, err := client.Lease("w")
+	if err != nil || lease.Status != LeaseJob {
+		t.Fatalf("lease after oversized bodies: %v %+v", err, lease)
 	}
 }

@@ -505,7 +505,7 @@ func exchangeStatusFramed(p *core.Proc, payload *bits.Buffer, propBits int) ([]*
 		}
 		for r := 0; r < rounds; r++ {
 			if r < len(chunks) {
-				if err := p.Broadcast(chunks[r].Clone()); err != nil {
+				if err := p.Broadcast(chunks[r]); err != nil {
 					return nil, err
 				}
 			}
@@ -583,7 +583,6 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 				if err := p.Send(comp[me], chunks[r]); err != nil {
 					return err
 				}
-				chunks[r].Release()
 			}
 			in := p.Next()
 			for _, l := range myLosers {
@@ -696,7 +695,6 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 				if err := p.Send(comp[me], chunks[r]); err != nil {
 					return err
 				}
-				chunks[r].Release()
 			}
 			in := p.Next()
 			for _, l := range myLosers {
