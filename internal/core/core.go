@@ -32,6 +32,18 @@
 // broadcast. A message is fixed once it is sent: a write to a staged
 // buffer panics and fails the writer's Step, and received buffers are
 // read-only for the same reason.
+//
+// # Proc bodies
+//
+// RunProcs and RunProcsEach render each node as a straight-line body
+// that calls Proc.Next at every round barrier. A body is a coroutine
+// (iter.Pull), not a goroutine of its own: the node's Step resumes it
+// with one direct switch and Next switches back, so a round costs no
+// channel operation and no scheduler wakeup. Bodies of distinct nodes
+// still step concurrently under the worker pool — whichever worker owns
+// a node in a round resumes its coroutine. Bodies still suspended in
+// Next when a run ends (it failed, or their node crashed) are unwound
+// before RunProcs returns.
 package core
 
 import (
@@ -87,7 +99,7 @@ type Config struct {
 	Bandwidth int          // b, in bits per link (UCAST/CONGEST) or per broadcast (BCAST)
 	Model     Model        //
 	Topology  *graph.Graph // required iff Model == Congest
-	Seed      int64        // base seed; node i draws from Seed*1e9 + i
+	Seed      int64        // base seed; node i draws from Seed*1_000_000_007 + i
 	MaxRounds int          // safety bound; 0 means DefaultMaxRounds
 	CutSide   []bool       // optional: membership of the cut side for CutBits accounting
 
@@ -281,7 +293,7 @@ func (f NodeFunc) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) { return f(ctx
 type Ctx struct {
 	id     int
 	cfg    *Config
-	rng    *rand.Rand
+	rng    *rand.Rand // built on the first Rand call
 	round  int
 	out    []*bits.Buffer // staged unicast messages, indexed by destination
 	sent   []int          // destinations staged this round
@@ -308,8 +320,16 @@ func (c *Ctx) Model() Model { return c.cfg.Model }
 // Round returns the current round number (0-based).
 func (c *Ctx) Round() int { return c.round }
 
-// Rand returns this node's private deterministic randomness source.
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+// Rand returns this node's private deterministic randomness source,
+// seeded with Config.Seed*1_000_000_007 + id. The source is built on the
+// first call: most protocols never draw, and seeding one costs ~5 KB.
+// Only the node's own Step touches its Ctx, so no lock is needed.
+func (c *Ctx) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.cfg.Seed*1_000_000_007 + int64(c.id)))
+	}
+	return c.rng
+}
 
 // SetOutput records the node's final (or running) output value.
 func (c *Ctx) SetOutput(v interface{}) { c.output = v }
@@ -507,7 +527,6 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 		e.ctxs[i] = &Ctx{
 			id:     i,
 			cfg:    cfg,
-			rng:    rand.New(rand.NewSource(cfg.Seed*1_000_000_007 + int64(i))),
 			out:    outFlat[i*n : (i+1)*n : (i+1)*n],
 			sent:   make([]int, 0, 4),
 			traced: e.traceOn,

@@ -167,8 +167,9 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkRunProcsGossip exercises the goroutine-per-node (Proc) surface
-// on a congest ring, the third protocol family.
+// BenchmarkRunProcsGossip exercises the Proc surface — one coroutine per
+// node, resumed once per round — on a congest ring, the third protocol
+// family.
 func BenchmarkRunProcsGossip(b *testing.B) {
 	const rounds = 20
 	n := 64

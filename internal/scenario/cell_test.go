@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 func tinyMatrix(t *testing.T) *Matrix {
@@ -104,9 +107,17 @@ func TestRunCellOracleCache(t *testing.T) {
 }
 
 // An impossible deadline makes both legs infra; the quarantine retries
-// sleep exactly the backoff schedule through the injected hook.
+// sleep exactly the backoff schedule through the injected hook. Every
+// leg blocks until the test ends, so the deadline always wins the race
+// against a leg that would otherwise finish within it.
 func TestRunCellTimeoutRetriesWithBackoff(t *testing.T) {
 	cell := tinyMatrix(t).Expand()[0]
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	cell.Protocol.Run = func(*graph.Graph, int, int64, Leg) (*LegResult, error) {
+		<-release
+		return nil, errors.New("leg released after the test")
+	}
 	var slept []time.Duration
 	base, cp := 10*time.Millisecond, 40*time.Millisecond
 	res := RunCell(cell, CellOptions{
